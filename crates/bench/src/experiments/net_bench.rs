@@ -2,24 +2,20 @@
 //! `BENCH_net.json`.
 //!
 //! Runs a small round grid on [`bcc_net::LocalNetCluster`] (real loopback
-//! TCP sockets, one worker thread per participant), each cell **twice** —
-//! once on the serial write-per-peer reference path and once on the
-//! pipelined fan-out (writer threads, pooled frames, speculative
-//! next-round broadcast) — plus a virtual twin, and records three kinds
-//! of numbers per cell:
+//! TCP sockets, one worker thread per participant, writer-thread fan-out)
+//! plus a virtual twin of every cell, and records two kinds of numbers
+//! per cell:
 //!
-//! * **Simulated metrics** — messages used, communication units, a
-//!   `gradients_match_virtual` flag pinned against the virtual backend,
-//!   and `pipelined_matches_serial`, the tentpole contract that
-//!   pipelining is a pure latency optimisation. On the staircase latency
-//!   profile these are deterministic, so the perf gate compares them
-//!   exactly like the policy/scale artifacts: drift is a *behaviour*
-//!   change, not host noise.
-//! * **Transport observables** — per-round wall times for both paths and
-//!   the derived `pipelined_speedup`, broadcast wall, queue depth, flush
-//!   and backpressure counts, bytes and frames on the wire, death /
-//!   reconnect / stale-frame counts. These describe the TCP stack and
-//!   the host; they are recorded for trajectory plots but never gated.
+//! * **Simulated metrics** — messages used, communication units, and a
+//!   `gradients_match_virtual` flag pinned against the virtual backend.
+//!   On the staircase latency profile these are deterministic, so the
+//!   perf gate compares them exactly like the policy/scale artifacts:
+//!   drift is a *behaviour* change, not host noise.
+//! * **Transport observables** — per-round wall times, broadcast wall,
+//!   queue depth, flush and backpressure counts, bytes and frames on the
+//!   wire, death / reconnect / stale-frame counts. These describe the TCP
+//!   stack and the host; they are recorded for trajectory plots but never
+//!   gated.
 //!
 //! Cells: the uncoded baseline, BCC at `r = 2` (early stopping over a
 //! real socket), a mid-round worker death under `best-effort-all`, and —
@@ -132,7 +128,7 @@ impl NetBenchConfig {
 }
 
 /// One benchmark cell: a (scheme, policy, fault, link) point measured
-/// over TCP on both fan-out paths.
+/// over TCP.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetCellRow {
     /// Cell name (`uncoded` / `bcc-r2` / `death-best-effort` /
@@ -151,36 +147,25 @@ pub struct NetCellRow {
     pub avg_messages_used: f64,
     /// Mean communication units per round — deterministic companion.
     pub avg_communication_units: f64,
-    /// Whether every pipelined round's decoded gradient matched the
-    /// virtual twin bit for bit — the cross-backend equivalence contract
-    /// as data. **Gated.**
+    /// Whether every round's decoded gradient matched the virtual twin bit
+    /// for bit — the cross-backend equivalence contract as data.
+    /// **Gated.**
     pub gradients_match_virtual: bool,
-    /// Whether the pipelined path's simulated outcomes (gradients,
-    /// message counts, compute accounting) matched the serial reference
-    /// path bit for bit — the tentpole contract. **Gated.**
-    pub pipelined_matches_serial: bool,
-    /// Per-round wall seconds at the master, pipelined path (host time;
-    /// not gated).
+    /// Per-round wall seconds at the master (host time; not gated).
     pub round_wall_seconds: Vec<f64>,
     /// Mean of [`Self::round_wall_seconds`].
     pub mean_round_wall_seconds: f64,
-    /// Mean per-round wall seconds on the serial reference path.
-    pub serial_mean_round_wall_seconds: f64,
-    /// `serial_mean_round_wall_seconds / mean_round_wall_seconds` — the
-    /// wall-clock win from pipelining (> 1 means pipelining is faster;
-    /// host-dependent, not gated).
-    pub pipelined_speedup: f64,
-    /// Spread (max − min) of the pipelined per-round walls — the jitter
-    /// the writer-thread fan-out is meant to keep bounded.
+    /// Spread (max − min) of the per-round walls — the jitter the
+    /// writer-thread fan-out is meant to keep bounded.
     pub wall_jitter_seconds: f64,
     /// Wall seconds the master spent fanning rounds out (cumulative over
-    /// the cell, pipelined path).
+    /// the cell).
     pub broadcast_wall_seconds: f64,
-    /// Deepest send-queue occupancy any writer observed (pipelined path).
+    /// Deepest send-queue occupancy any writer observed.
     pub max_queue_depth: u64,
     /// Writer-thread socket flushes (coalescing makes this ≤ frames).
     pub flushes: u64,
-    /// Broadcasts that hit a full send queue (pipelined path).
+    /// Broadcasts that hit a full send queue.
     pub backpressure_events: u64,
     /// Data frames for settled rounds / superseded epochs — credited,
     /// never decoded.
@@ -202,7 +187,7 @@ pub struct NetCellRow {
 /// The artifact behind `BENCH_net.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetBenchResult {
-    /// Schema tag (`bcc/bench_net/v2`).
+    /// Schema tag (`bcc/bench_net/v3`).
     pub schema: String,
     /// Backend the cells ran on.
     pub backend: String,
@@ -297,25 +282,12 @@ fn gradients_match(net: &[RoundOutcome], virt: &[RoundOutcome]) -> bool {
         })
 }
 
-/// Full simulated-outcome identity between the two fan-out paths:
-/// gradients, message counts, communication load, and compute accounting
-/// (wall-clock fields excluded).
-fn outcomes_identical(a: &[RoundOutcome], b: &[RoundOutcome]) -> bool {
-    gradients_match(a, b)
-        && a.iter().zip(b).all(|(x, y)| {
-            x.metrics.messages_used == y.metrics.messages_used
-                && x.metrics.communication_units == y.metrics.communication_units
-                && x.metrics.compute_time.to_bits() == y.metrics.compute_time.to_bits()
-        })
-}
-
 struct NetRun {
     outcomes: Vec<RoundOutcome>,
     stats: bcc_net::NetStats,
     round_wall_seconds: Vec<f64>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_net_cell(
     cell: &Cell,
     cfg: &NetBenchConfig,
@@ -324,11 +296,8 @@ fn run_net_cell(
     units: &UnitMap,
     data: &bcc_data::Dataset,
     weights: &[f64],
-    pipelined: bool,
 ) -> NetRun {
-    let mut config = BackendConfig::new()
-        .pipelining(pipelined)
-        .straggler_model(Arc::clone(model));
+    let mut config = BackendConfig::new().straggler_model(Arc::clone(model));
     if cell.policy == "best-effort-all" {
         config = config.aggregation_policy(Arc::new(BestEffortAll));
     }
@@ -346,13 +315,7 @@ fn run_net_cell(
         &LogisticLoss,
         &mut driver,
     )
-    .unwrap_or_else(|e| {
-        panic!(
-            "net cell `{}` ({} path) failed: {e}",
-            cell.name,
-            if pipelined { "pipelined" } else { "serial" }
-        )
-    });
+    .unwrap_or_else(|e| panic!("net cell `{}` failed: {e}", cell.name));
     let stats = net.last_net_stats().expect("stats after a run");
     let round_wall_seconds = driver
         .outcomes
@@ -366,8 +329,7 @@ fn run_net_cell(
     }
 }
 
-/// Runs the full grid: every cell on loopback TCP — serial and pipelined
-/// fan-out — plus its virtual twin.
+/// Runs the full grid: every cell on loopback TCP plus its virtual twin.
 ///
 /// # Panics
 /// Panics when a cell cannot complete — a benchmark that cannot run its
@@ -390,26 +352,7 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
     for cell in cells(cfg) {
         let model = if cell.wan { &wan_model } else { &base_model };
 
-        let serial = run_net_cell(
-            &cell,
-            cfg,
-            &profile,
-            model,
-            &units,
-            &data.dataset,
-            &weights,
-            false,
-        );
-        let pipelined = run_net_cell(
-            &cell,
-            cfg,
-            &profile,
-            model,
-            &units,
-            &data.dataset,
-            &weights,
-            true,
-        );
+        let net = run_net_cell(&cell, cfg, &profile, model, &units, &data.dataset, &weights);
 
         let mut config = BackendConfig::new().straggler_model(Arc::clone(model));
         if cell.policy == "best-effort-all" {
@@ -433,16 +376,14 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
         )
         .unwrap_or_else(|e| panic!("virtual twin of `{}` failed: {e}", cell.name));
 
-        let outcomes = &pipelined.outcomes;
+        let outcomes = &net.outcomes;
         let n = outcomes.len() as f64;
-        let mean_round_wall_seconds = pipelined.round_wall_seconds.iter().sum::<f64>() / n;
-        let serial_mean_round_wall_seconds =
-            serial.round_wall_seconds.iter().sum::<f64>() / serial.outcomes.len().max(1) as f64;
-        let wall_jitter_seconds = pipelined
+        let mean_round_wall_seconds = net.round_wall_seconds.iter().sum::<f64>() / n;
+        let wall_jitter_seconds = net
             .round_wall_seconds
             .iter()
             .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-            - pipelined
+            - net
                 .round_wall_seconds
                 .iter()
                 .fold(f64::INFINITY, |a, &b| a.min(b));
@@ -463,28 +404,25 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
                 .sum::<f64>()
                 / n,
             gradients_match_virtual: gradients_match(outcomes, &virt_driver.outcomes),
-            pipelined_matches_serial: outcomes_identical(outcomes, &serial.outcomes),
             mean_round_wall_seconds,
-            serial_mean_round_wall_seconds,
-            pipelined_speedup: serial_mean_round_wall_seconds / mean_round_wall_seconds,
             wall_jitter_seconds,
-            broadcast_wall_seconds: pipelined.stats.broadcast_wall_seconds(),
-            max_queue_depth: pipelined.stats.max_queue_depth,
-            flushes: pipelined.stats.flushes,
-            backpressure_events: pipelined.stats.backpressure_events,
-            stale_frames: pipelined.stats.stale_frames,
-            bytes_sent: pipelined.stats.bytes_sent,
-            bytes_received: pipelined.stats.bytes_received,
-            frames_sent: pipelined.stats.frames_sent,
-            frames_received: pipelined.stats.frames_received,
-            deaths: pipelined.stats.deaths,
-            reconnects: pipelined.stats.reconnects,
-            round_wall_seconds: pipelined.round_wall_seconds,
+            broadcast_wall_seconds: net.stats.broadcast_wall_seconds(),
+            max_queue_depth: net.stats.max_queue_depth,
+            flushes: net.stats.flushes,
+            backpressure_events: net.stats.backpressure_events,
+            stale_frames: net.stats.stale_frames,
+            bytes_sent: net.stats.bytes_sent,
+            bytes_received: net.stats.bytes_received,
+            frames_sent: net.stats.frames_sent,
+            frames_received: net.stats.frames_received,
+            deaths: net.stats.deaths,
+            reconnects: net.stats.reconnects,
+            round_wall_seconds: net.round_wall_seconds,
         });
     }
 
     NetBenchResult {
-        schema: "bcc/bench_net/v2".into(),
+        schema: "bcc/bench_net/v3".into(),
         backend: "tcp-local".into(),
         config: cfg.clone(),
         rows,
@@ -496,7 +434,7 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
 pub fn render(result: &NetBenchResult) -> Table {
     let mut t = Table::new(
         format!(
-            "networked backend — {} rounds/cell over loopback TCP (time scale {}), serial vs pipelined fan-out",
+            "networked backend — {} rounds/cell over loopback TCP (time scale {})",
             result.config.rounds, result.config.time_scale
         ),
         &[
@@ -505,12 +443,9 @@ pub fn render(result: &NetBenchResult) -> Table {
             "policy",
             "msgs/round",
             "wall s/round",
-            "serial s/round",
-            "speedup",
             "queue",
             "flushes",
             "deaths",
-            "pipelined = serial",
             "grad = virtual",
         ],
     );
@@ -521,16 +456,9 @@ pub fn render(result: &NetBenchResult) -> Table {
             r.policy.clone(),
             f1(r.avg_messages_used),
             f3(r.mean_round_wall_seconds),
-            f3(r.serial_mean_round_wall_seconds),
-            format!("{:.2}x", r.pipelined_speedup),
             r.max_queue_depth.to_string(),
             r.flushes.to_string(),
             r.deaths.to_string(),
-            if r.pipelined_matches_serial {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
             if r.gradients_match_virtual {
                 "yes".into()
             } else {
@@ -562,10 +490,10 @@ mod tests {
     const WALL_JITTER_BUDGET_SECONDS: f64 = 0.3;
 
     #[test]
-    fn fast_grid_measures_all_cells_and_matches_both_references() {
+    fn fast_grid_measures_all_cells_and_matches_the_virtual_twin() {
         let cfg = NetBenchConfig::fast();
         let result = run(&cfg);
-        assert_eq!(result.schema, "bcc/bench_net/v2");
+        assert_eq!(result.schema, "bcc/bench_net/v3");
         assert_eq!(result.rows.len(), 3);
         for row in &result.rows {
             assert_eq!(row.rounds, cfg.rounds);
@@ -574,15 +502,8 @@ mod tests {
                 "cell `{}` must match the virtual twin",
                 row.cell
             );
-            assert!(
-                row.pipelined_matches_serial,
-                "cell `{}`: pipelining must not change simulated outcomes",
-                row.cell
-            );
             assert!(row.bytes_sent > 0 && row.bytes_received > 0);
             assert_eq!(row.round_wall_seconds.len(), cfg.rounds);
-            assert!(row.serial_mean_round_wall_seconds > 0.0);
-            assert!(row.pipelined_speedup.is_finite() && row.pipelined_speedup > 0.0);
             assert!(row.broadcast_wall_seconds > 0.0);
             assert!(row.flushes > 0, "writer threads flush every burst");
             assert!(row.max_queue_depth >= 1);
@@ -620,7 +541,6 @@ mod tests {
             let row = result.row(name).unwrap();
             assert!(row.wan);
             assert!(row.gradients_match_virtual, "`{name}` vs virtual");
-            assert!(row.pipelined_matches_serial, "`{name}` vs serial");
             // The injected link latency genuinely slows the rounds.
             let lan = result.row(name.trim_end_matches("-wan")).unwrap();
             assert!(

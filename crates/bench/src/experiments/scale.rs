@@ -10,14 +10,6 @@
 //!   window is bounded, so peak memory stays independent of the example
 //!   count. The chunk size tiles the coding units, so every unit read is a
 //!   zero-copy alias of a live chunk.
-//! * **Server-side decode, serial vs parallel**: the same completed
-//!   decoder drained through [`DecodePool::serial`] and
-//!   [`DecodePool::threads`], asserted **bit-identical** before timing —
-//!   the determinism contract of the parallel column reduction. The
-//!   speedup column is only meaningful on multi-core hosts; the result
-//!   records [`host_threads`](ScaleBenchResult::host_threads) so a
-//!   single-core CI reading (speedup ≈ 1) is not mistaken for a
-//!   regression.
 //! * **Simulated round metrics** from a replayable [`ExperimentSpec`]
 //!   (virtual backend, fixed-point rounds). These are deterministic in the
 //!   spec seed — identical across hosts, thread counts, and `--fast` — and
@@ -25,16 +17,13 @@
 //!   never host noise.
 //!
 //! `--fast` trims only the host-timing repetitions
-//! ([`ScaleBenchConfig::stream_reps`] / [`decode_reps`]); the grid — and
-//! with it every simulated metric and every persisted cell spec — is
-//! unchanged, which is why the gate can compare a `--fast` snapshot
-//! against the committed full artifact (it keys config equality on
-//! [`ScaleGrid`] alone).
-//!
-//! [`decode_reps`]: ScaleBenchConfig::decode_reps
+//! ([`ScaleBenchConfig::stream_reps`]); the grid — and with it every
+//! simulated metric and every persisted cell spec — is unchanged, which
+//! is why the gate can compare a `--fast` snapshot against the committed
+//! full artifact (it keys config equality on [`ScaleGrid`] alone).
 
 use crate::report::{f1, Table};
-use bcc_cluster::{DecodePool, Minibatch, StreamedContext, UnitMap, UnitSelection};
+use bcc_cluster::{Minibatch, StreamedContext, UnitMap, UnitSelection};
 use bcc_coding::{CyclicRepetitionScheme, GradientCodingScheme, Payload};
 use bcc_core::experiment::{
     BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
@@ -84,10 +73,6 @@ pub struct ScaleBenchConfig {
     pub grid: ScaleGrid,
     /// Timed streaming sweeps per cell (minimum is reported).
     pub stream_reps: usize,
-    /// Timed decodes per cell and path (minimum is reported).
-    pub decode_reps: usize,
-    /// Thread budget of the parallel decode path.
-    pub decode_threads: usize,
 }
 
 impl ScaleBenchConfig {
@@ -107,8 +92,6 @@ impl ScaleBenchConfig {
                 seed: 2024,
             },
             stream_reps: 3,
-            decode_reps: 5,
-            decode_threads: 8,
         }
     }
 
@@ -119,7 +102,6 @@ impl ScaleBenchConfig {
     pub fn fast() -> Self {
         Self {
             stream_reps: 1,
-            decode_reps: 1,
             ..Self::default_config()
         }
     }
@@ -234,13 +216,6 @@ pub struct ScaleCellRow {
     /// Live chunks after the sweep (bounded by the grid's
     /// `max_live_chunks`).
     pub live_chunks: usize,
-    /// Host seconds of the fastest serial decode of the completed round.
-    pub serial_decode_seconds: f64,
-    /// Host seconds of the fastest parallel decode (bit-identical result).
-    pub parallel_decode_seconds: f64,
-    /// `serial / parallel` (≈ 1 on single-core hosts — read with
-    /// [`ScaleBenchResult::host_threads`]).
-    pub decode_speedup: f64,
     /// Mean simulated round latency (deterministic; gated).
     pub simulated_seconds_per_round: f64,
     /// Mean messages consumed per round (deterministic).
@@ -255,8 +230,7 @@ pub struct ScaleBenchResult {
     /// Backend behind the simulated metrics.
     pub backend: String,
     /// Hardware threads of the measuring host — the context every
-    /// wall-clock column (and especially `decode_speedup`) must be read
-    /// in.
+    /// wall-clock column must be read in.
     pub host_threads: usize,
     /// The configuration measured.
     pub config: ScaleBenchConfig,
@@ -275,8 +249,7 @@ impl ScaleBenchResult {
 }
 
 /// Builds the cell's cyclic-repetition scheme. CR keeps the placement
-/// deterministic at any `n` (no coverage retry loop) and decodes through
-/// the weighted-sum fast path, so the parallel fold is actually exercised.
+/// deterministic at any `n` (no coverage retry loop).
 fn cell_scheme(grid: &ScaleGrid, n: usize) -> CyclicRepetitionScheme {
     let mut rng = derive_rng(grid.seed, SCHEME_STREAM);
     CyclicRepetitionScheme::new(n, grid.r, &mut rng)
@@ -311,9 +284,7 @@ fn sweep_rows(
 ///
 /// # Panics
 /// Panics when a cell's spec fails to build or run (the grid is
-/// structurally valid by construction) or when the parallel decode is not
-/// bit-identical to the serial decode — the determinism contract this
-/// benchmark exists to guard.
+/// structurally valid by construction).
 #[must_use]
 pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
     let grid = &config.grid;
@@ -356,7 +327,6 @@ pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
             let w = eval_point(cell.dim);
             let mut scratch = GradScratch::new();
             let mut stream_best = f64::INFINITY;
-            let mut payloads: Vec<Payload> = Vec::new();
             let mut first_sweep_misses = 0;
             for rep in 0..config.stream_reps.max(1) {
                 let t = Instant::now();
@@ -370,47 +340,9 @@ pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
                 if rep == 0 {
                     first_sweep_misses = chunked.materializations();
                 }
-                payloads = out;
+                std::hint::black_box(out);
             }
             let rows_per_sweep = sweep_rows(&scheme, &units, selection.as_ref());
-
-            // Serial-vs-parallel decode of the completed round, asserted
-            // bit-identical before timing.
-            let mut decoder = scheme.decoder();
-            for (worker, payload) in payloads.iter().enumerate() {
-                if decoder.is_complete() {
-                    break;
-                }
-                decoder
-                    .receive(worker, payload.clone())
-                    .expect("fresh decoder accepts each worker once");
-            }
-            assert!(decoder.is_complete(), "all workers reported");
-            let serial = DecodePool::serial();
-            let parallel = DecodePool::threads(config.decode_threads);
-            let s_out = serial.decode(&*decoder).expect("serial decode");
-            let p_out = parallel.decode(&*decoder).expect("parallel decode");
-            assert!(
-                s_out.len() == p_out.len()
-                    && s_out
-                        .iter()
-                        .zip(&p_out)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "parallel decode must be bit-identical to serial \
-                 (n={n}, dim={}, mode={})",
-                cell.dim,
-                cell.mode()
-            );
-            let mut serial_best = f64::INFINITY;
-            let mut parallel_best = f64::INFINITY;
-            for _ in 0..config.decode_reps.max(1) {
-                let t = Instant::now();
-                std::hint::black_box(serial.decode(&*decoder).expect("serial decode"));
-                serial_best = serial_best.min(t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                std::hint::black_box(parallel.decode(&*decoder).expect("parallel decode"));
-                parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
-            }
 
             ScaleCellRow {
                 workers: n,
@@ -423,9 +355,6 @@ pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
                 stream_examples_per_sec: rows_per_sweep as f64 / stream_best,
                 chunk_materializations: first_sweep_misses,
                 live_chunks: chunked.live_chunks(),
-                serial_decode_seconds: serial_best,
-                parallel_decode_seconds: parallel_best,
-                decode_speedup: serial_best / parallel_best,
                 simulated_seconds_per_round: report.metrics.avg_round_time(),
                 avg_messages_used: report.metrics.avg_recovery_threshold(),
             }
@@ -433,7 +362,7 @@ pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
         .collect();
 
     ScaleBenchResult {
-        schema: "bcc/bench_scale/v1".into(),
+        schema: "bcc/bench_scale/v2".into(),
         backend: "virtual-des".into(),
         host_threads: Parallelism::available().get(),
         config: config.clone(),
@@ -450,25 +379,13 @@ pub fn render(result: &ScaleBenchResult) -> Table {
             result.rows.len(),
             result.host_threads
         ),
-        &[
-            "cell",
-            "examples",
-            "stream ex/s",
-            "serial dec ms",
-            "par dec ms",
-            "dec speedup",
-            "sim s/round",
-            "K (msgs)",
-        ],
+        &["cell", "examples", "stream ex/s", "sim s/round", "K (msgs)"],
     );
     for row in &result.rows {
         table.push_row(vec![
             format!("n{} d{} {}", row.workers, row.dim, row.mode),
             row.examples.to_string(),
             format!("{:.3e}", row.stream_examples_per_sec),
-            format!("{:.3}", row.serial_decode_seconds * 1e3),
-            format!("{:.3}", row.parallel_decode_seconds * 1e3),
-            format!("{:.2}x", row.decode_speedup),
             format!("{:.3}", row.simulated_seconds_per_round),
             f1(row.avg_messages_used),
         ]);
@@ -493,8 +410,6 @@ mod tests {
                 seed: 11,
             },
             stream_reps: 1,
-            decode_reps: 1,
-            decode_threads: 4,
         }
     }
 
@@ -518,8 +433,6 @@ mod tests {
         assert_eq!(result.rows.len(), 4, "2 n × 1 dim × 2 modes");
         for row in &result.rows {
             assert!(row.stream_examples_per_sec > 0.0, "{row:?}");
-            assert!(row.serial_decode_seconds > 0.0, "{row:?}");
-            assert!(row.parallel_decode_seconds > 0.0, "{row:?}");
             assert!(row.simulated_seconds_per_round > 0.0, "{row:?}");
             assert!(
                 row.live_chunks <= cfg.grid.max_live_chunks,
@@ -535,7 +448,7 @@ mod tests {
             "minibatch sweeps touch fewer rows"
         );
         let json = serde_json::to_string(&result).unwrap();
-        assert!(json.contains("bcc/bench_scale/v1"));
+        assert!(json.contains("bcc/bench_scale/v2"));
         let back: ScaleBenchResult = serde_json::from_str(&json).unwrap();
         assert_eq!(back, result);
         assert_eq!(render(&result).len(), 4);

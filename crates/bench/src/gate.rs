@@ -1,11 +1,19 @@
 //! The perf-regression gate behind `repro gate`.
 //!
-//! Compares freshly measured `BENCH_round_engine.json` /
-//! `BENCH_gradient_kernel.json` files against checked-in baselines and
-//! fails (non-zero exit in the CLI) when any per-entry wall-clock metric
-//! slowed down by more than the allowed factor. CI runs it right after the
-//! engine snapshot, so a PR that regresses the round hot path or the
-//! packed gradient kernels cannot merge silently.
+//! Compares seven freshly measured artifacts against checked-in
+//! baselines and fails (non-zero exit in the CLI) when any per-entry
+//! metric grew by more than the allowed factor:
+//!
+//! * host wall-clock — `BENCH_round_engine.json` (seconds per round) and
+//!   `BENCH_gradient_kernel.json` (packed-kernel ns per sweep);
+//! * deterministic simulated metrics — `BENCH_policy_tradeoff.json`,
+//!   `BENCH_modes.json`, `BENCH_scale.json`, `BENCH_adaptive.json`
+//!   (simulated seconds) and `BENCH_net.json` (messages per round), where
+//!   any drift is a behaviour change rather than host noise.
+//!
+//! CI runs it right after the snapshots, so a PR that regresses the round
+//! hot path, the packed gradient kernels, or a protocol's simulated cost
+//! cannot merge silently.
 //!
 //! Two safeguards keep the comparison honest:
 //!
@@ -39,7 +47,8 @@ pub const DEFAULT_MAX_SLOWDOWN: f64 = 1.5;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GateEntry {
     /// Which artifact the entry comes from (`round_engine` /
-    /// `gradient_kernel`).
+    /// `gradient_kernel` / `policy_tradeoff` / `modes` / `scale` / `net`
+    /// / `adaptive`).
     pub artifact: String,
     /// Entry key within the artifact (scheme or loss name + metric).
     pub entry: String,
@@ -338,7 +347,7 @@ pub fn compare_control(
 /// so any drift is a behaviour change, not host noise).
 ///
 /// Config equality is keyed on [`ScaleGrid`] alone: the host-timing knobs
-/// (`stream_reps` / `decode_reps`) differ between `--fast` and full runs
+/// (`stream_reps`) differ between `--fast` and full runs
 /// by design and never influence the gated metrics.
 ///
 /// [`ScaleGrid`]: crate::experiments::scale::ScaleGrid
@@ -385,12 +394,10 @@ pub fn compare_scale(
 /// are recorded in the artifact but deliberately **not** gated: loopback
 /// TCP timing is host property, not protocol property.
 ///
-/// Additionally fails — the gate's non-ratio checks — when any current
+/// Additionally fails — the gate's non-ratio check — when any current
 /// cell lost bit-equivalence with the virtual backend
-/// (`gradients_match_virtual == false`) or when the pipelined fan-out
-/// stopped reproducing the serial reference path
-/// (`pipelined_matches_serial == false`): a backend that diverges from
-/// its own references has no baseline worth comparing against.
+/// (`gradients_match_virtual == false`): a backend that diverges from its
+/// reference has no baseline worth comparing against.
 ///
 /// # Errors
 /// A readable message when the configs differ, a baseline cell is missing
@@ -411,13 +418,6 @@ pub fn compare_net(
         return Err(format!(
             "net: cell `{}` no longer matches the virtual backend bit for bit — \
              cross-backend equivalence must hold before perf is worth comparing",
-            broken.cell
-        ));
-    }
-    if let Some(broken) = current.rows.iter().find(|r| !r.pipelined_matches_serial) {
-        return Err(format!(
-            "net: cell `{}`'s pipelined fan-out no longer reproduces the serial path — \
-             pipelining must stay a pure latency optimisation",
             broken.cell
         ));
     }
@@ -445,9 +445,8 @@ fn read_json<T: Deserialize>(path: &Path) -> Result<T, String> {
     serde_json::from_str(&body).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
-/// Runs the full gate: reads `BENCH_round_engine.json` and
-/// `BENCH_gradient_kernel.json` from both directories and compares every
-/// entry.
+/// Runs the full gate: reads the seven artifacts listed in the module
+/// docs from both directories and compares every entry.
 ///
 /// # Errors
 /// A readable message on missing/unparsable files, config mismatches, or
@@ -577,7 +576,7 @@ mod tests {
     fn scale_result(sim_round: f64) -> ScaleBenchResult {
         use crate::experiments::scale::{ScaleBenchConfig, ScaleCellRow};
         ScaleBenchResult {
-            schema: "bcc/bench_scale/v1".into(),
+            schema: "bcc/bench_scale/v2".into(),
             backend: "virtual-des".into(),
             host_threads: 1,
             config: ScaleBenchConfig::default_config(),
@@ -592,9 +591,6 @@ mod tests {
                 stream_examples_per_sec: 1e6,
                 chunk_materializations: 13,
                 live_chunks: 8,
-                serial_decode_seconds: 1e-4,
-                parallel_decode_seconds: 1e-4,
-                decode_speedup: 1.0,
                 simulated_seconds_per_round: sim_round,
                 avg_messages_used: 46.0,
             }],
@@ -693,7 +689,7 @@ mod tests {
     fn net_result(avg_messages: f64) -> NetBenchResult {
         use crate::experiments::net_bench::{NetBenchConfig, NetCellRow};
         NetBenchResult {
-            schema: "bcc/bench_net/v2".into(),
+            schema: "bcc/bench_net/v3".into(),
             backend: "tcp-local".into(),
             config: NetBenchConfig::default_config(),
             rows: vec![NetCellRow {
@@ -705,11 +701,8 @@ mod tests {
                 avg_messages_used: avg_messages,
                 avg_communication_units: avg_messages,
                 gradients_match_virtual: true,
-                pipelined_matches_serial: true,
                 round_wall_seconds: vec![0.07; 8],
                 mean_round_wall_seconds: 0.07,
-                serial_mean_round_wall_seconds: 0.09,
-                pipelined_speedup: 0.09 / 0.07,
                 wall_jitter_seconds: 0.004,
                 broadcast_wall_seconds: 0.001,
                 max_queue_depth: 2,
@@ -900,7 +893,6 @@ mod tests {
         // Timing-rep knobs may differ (--fast vs full): still comparable.
         let mut current = scale_result(0.3);
         current.config.stream_reps = 1;
-        current.config.decode_reps = 1;
         let entries = compare_scale(&baseline, &current, 1.5).unwrap();
         assert_eq!(entries.len(), 1);
         assert!(entries[0].ok);
@@ -955,18 +947,6 @@ mod tests {
         other_cfg.config.rounds = 3;
         let err = compare_net(&baseline, &other_cfg, 1.5).unwrap_err();
         assert!(err.contains("configs differ"), "{err}");
-    }
-
-    #[test]
-    fn net_pipelined_divergence_is_an_error_not_a_pass() {
-        let baseline = net_result(6.0);
-        let mut current = net_result(6.0);
-        current.rows[0].pipelined_matches_serial = false;
-        let err = compare_net(&baseline, &current, 1.5).unwrap_err();
-        assert!(
-            err.contains("no longer reproduces the serial path"),
-            "{err}"
-        );
     }
 
     #[test]

@@ -1,22 +1,15 @@
 //! Uniform backend configuration.
 //!
-//! The three backends (virtual, threaded, TCP — plus the loopback TCP
-//! fleet) accreted one `with_*` setter per knob per backend, so every new
-//! cross-cutting hook (the mode layer's [`OffsetModel`] is the motivating
-//! case) meant three or four copy-pasted methods. [`BackendConfig`] is the
-//! consolidated replacement: one struct of optional knobs, applied
-//! uniformly by each backend's `configured(config)`. Knobs a backend has no
-//! use for (e.g. `time_scale` on the virtual backend, `auth_token` off the
-//! TCP backend) are simply ignored — the config describes intent, each
-//! backend applies the subset it implements. The per-knob `with_*` setters
-//! remain as `#[deprecated]` thin wrappers.
+//! [`BackendConfig`] is the one way to configure a backend (virtual,
+//! threaded, TCP — plus the loopback TCP fleet): one struct of optional
+//! knobs, applied uniformly by each backend's `configured(config)`. Knobs a
+//! backend has no use for (e.g. `auth_token` off the bound TCP master) are
+//! simply ignored — the config describes intent, each backend applies the
+//! subset it implements.
 //!
 //! Fault-injection hooks (`kill_workers`, `fail_worker_at`, …) are *not*
 //! configuration — they mutate a running backend — and stay as methods.
-//!
-//! [`OffsetModel`]: crate::mode::OffsetModel
 
-use crate::decode::DecodePool;
 use crate::minibatch::Minibatch;
 use crate::observer::SharedObserver;
 use crate::policy::AggregationPolicy;
@@ -33,12 +26,10 @@ use std::time::Duration;
 /// | `straggler_model` | ✓ | ✓ | ✓ |
 /// | `aggregation_policy` | ✓ | ✓ | ✓ |
 /// | `observer` | ✓ | ✓ | ✓ |
-/// | `decode_pool` | ✓ | ✓ | ✓ |
 /// | `minibatch` | ✓ | ✓ | ✓ |
 /// | `recv_timeout` | — | ✓ | ✓ |
 /// | `heartbeat_timeout` | — | — | bound only |
 /// | `connect_timeout` | — | — | bound only |
-/// | `pipelining` | — | — | ✓ |
 /// | `job` | — | — | bound only |
 /// | `auth_token` | — | — | bound only |
 #[derive(Debug, Clone, Default)]
@@ -52,8 +43,6 @@ pub struct BackendConfig {
     /// Subscriber for the per-round [`RoundEvent`](crate::observer::RoundEvent)
     /// stream.
     pub observer: Option<SharedObserver>,
-    /// Master decode/aggregate thread budget.
-    pub decode_pool: Option<DecodePool>,
     /// Per-round unit-subset sampler (minibatch rounds).
     pub minibatch: Option<Minibatch>,
     /// Master stall-detection timeout (real time).
@@ -62,9 +51,6 @@ pub struct BackendConfig {
     pub heartbeat_timeout: Option<Duration>,
     /// How long the TCP master waits for participants to register.
     pub connect_timeout: Option<Duration>,
-    /// Pipelined fan-out (writer threads + speculative round t+1) on the
-    /// networked masters.
-    pub pipelining: Option<bool>,
     /// Job spec JSON the TCP master serves to self-building workers.
     pub job: Option<String>,
     /// Auth token TCP workers must echo in `Hello`.
@@ -99,13 +85,6 @@ impl BackendConfig {
         self
     }
 
-    /// Sets the decode/aggregate thread budget.
-    #[must_use]
-    pub fn decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = Some(pool);
-        self
-    }
-
     /// Sets the per-round minibatch sampler.
     #[must_use]
     pub fn minibatch(mut self, minibatch: Minibatch) -> Self {
@@ -131,13 +110,6 @@ impl BackendConfig {
     #[must_use]
     pub fn connect_timeout(mut self, timeout: Duration) -> Self {
         self.connect_timeout = Some(timeout);
-        self
-    }
-
-    /// Toggles pipelined fan-out on the networked masters.
-    #[must_use]
-    pub fn pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelining = Some(pipelined);
         self
     }
 
@@ -168,12 +140,10 @@ mod tests {
         assert!(c.straggler_model.is_none());
         assert!(c.aggregation_policy.is_none());
         assert!(c.observer.is_none());
-        assert!(c.decode_pool.is_none());
         assert!(c.minibatch.is_none());
         assert!(c.recv_timeout.is_none());
         assert!(c.heartbeat_timeout.is_none());
         assert!(c.connect_timeout.is_none());
-        assert!(c.pipelining.is_none());
         assert!(c.job.is_none());
         assert!(c.auth_token.is_none());
     }
@@ -183,20 +153,16 @@ mod tests {
         let c = BackendConfig::new()
             .straggler_model(Arc::new(ShiftedExpModel::homogeneous(2, 1.0, 0.0)))
             .aggregation_policy(Arc::new(WaitDecodable))
-            .decode_pool(DecodePool::serial())
             .recv_timeout(Duration::from_secs(1))
             .heartbeat_timeout(Duration::from_secs(2))
             .connect_timeout(Duration::from_secs(3))
-            .pipelining(false)
             .job("{}".to_string())
             .auth_token(42);
         assert!(c.straggler_model.is_some());
         assert!(c.aggregation_policy.is_some());
-        assert!(c.decode_pool.is_some());
         assert_eq!(c.recv_timeout, Some(Duration::from_secs(1)));
         assert_eq!(c.heartbeat_timeout, Some(Duration::from_secs(2)));
         assert_eq!(c.connect_timeout, Some(Duration::from_secs(3)));
-        assert_eq!(c.pipelining, Some(false));
         assert_eq!(c.job.as_deref(), Some("{}"));
         assert_eq!(c.auth_token, Some(42));
     }

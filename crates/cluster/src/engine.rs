@@ -17,7 +17,6 @@
 //! `messages_used` on either backend (pinned by the cross-backend
 //! equivalence test in `tests/backend_equivalence.rs`).
 
-use crate::decode::DecodePool;
 use crate::error::ClusterError;
 use crate::latency::ClusterProfile;
 use crate::metrics::{ArrivalStamp, RoundMetrics};
@@ -277,7 +276,6 @@ pub struct RoundEngine<'a> {
     /// policy finishes a round on exhaustion).
     last_at: f64,
     complete: bool,
-    pool: DecodePool,
     stamps: Vec<ArrivalStamp>,
 }
 
@@ -305,18 +303,8 @@ impl<'a> RoundEngine<'a> {
             max_compute_used: 0.0,
             last_at: 0.0,
             complete: false,
-            pool: DecodePool::default(),
             stamps: Vec::new(),
         }
-    }
-
-    /// Overrides the decode/aggregate thread budget (default: all
-    /// available cores — safe because the parallel fold is bit-identical
-    /// to the serial one, see [`crate::decode`]).
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// The policy's read-only view of the round.
@@ -325,7 +313,6 @@ impl<'a> RoundEngine<'a> {
             decoder: &*self.decoder,
             live_participants: self.live_participants,
             now: self.last_at,
-            pool: self.pool,
         }
     }
 
@@ -512,7 +499,6 @@ impl<'a> RoundEngine<'a> {
             decoder: &*self.decoder,
             live_participants: self.live_participants,
             now: self.last_at,
-            pool: self.pool,
         })?;
         let metrics = RoundMetrics {
             messages_used: self.decoder.messages_received(),

@@ -30,7 +30,6 @@
 
 pub mod backend;
 pub mod config;
-pub mod decode;
 pub mod engine;
 pub mod error;
 pub mod latency;
@@ -50,7 +49,6 @@ pub mod wire;
 
 pub use backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 pub use config::BackendConfig;
-pub use decode::DecodePool;
 pub use engine::{Arrival, ArrivalEvent, ArrivalSource, RoundEngine};
 pub use error::ClusterError;
 pub use latency::{ClusterProfile, CommModel, WorkerProfile};

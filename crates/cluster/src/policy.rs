@@ -41,7 +41,6 @@
 //! `tests/policy_equivalence.rs` and the checked-in
 //! `BENCH_round_engine.json` replay.
 
-use crate::decode::DecodePool;
 use crate::error::ClusterError;
 use bcc_coding::{Coverage, Decoder};
 use std::fmt;
@@ -80,11 +79,6 @@ pub struct RoundView<'a> {
     /// Backend clock (simulated seconds since round start) of the latest
     /// delivery; `0.0` before any.
     pub now: f64,
-    /// Thread budget for decode/aggregate folds; policies should decode
-    /// through it ([`DecodePool::decode`]/[`DecodePool::decode_partial`])
-    /// so large rounds aggregate in parallel — bit-identical to the serial
-    /// path by the [`crate::decode`] determinism contract.
-    pub pool: DecodePool,
 }
 
 impl RoundView<'_> {
@@ -149,16 +143,13 @@ pub trait AggregationPolicy: fmt::Debug + Send + Sync {
 fn finish_rescaled(view: &RoundView<'_>) -> Result<AggregatedGradient, ClusterError> {
     if view.decoder.is_complete() {
         return Ok(AggregatedGradient {
-            gradient_sum: view.pool.decode(view.decoder).map_err(ClusterError::from)?,
+            gradient_sum: view.decoder.decode().map_err(ClusterError::from)?,
             coverage: view.coverage(),
             exact: true,
         });
     }
     let coverage = view.coverage();
-    let mut gradient_sum = view
-        .pool
-        .decode_partial(view.decoder)
-        .map_err(ClusterError::from)?;
+    let mut gradient_sum = view.decoder.decode_partial().map_err(ClusterError::from)?;
     if coverage.covered_units == 0 {
         return Err(ClusterError::Stalled {
             received: view.messages(),
@@ -204,7 +195,7 @@ impl AggregationPolicy for WaitDecodable {
 
     fn finish(&self, view: &RoundView<'_>) -> Result<AggregatedGradient, ClusterError> {
         Ok(AggregatedGradient {
-            gradient_sum: view.pool.decode(view.decoder).map_err(ClusterError::from)?,
+            gradient_sum: view.decoder.decode().map_err(ClusterError::from)?,
             coverage: view.coverage(),
             exact: true,
         })
@@ -359,7 +350,6 @@ mod tests {
             decoder: &*dec,
             live_participants: 4,
             now: 0.5,
-            pool: DecodePool::threads(2),
         };
         assert_eq!(WaitDecodable.on_arrival(&view), RoundVerdict::Continue);
         assert!(!WaitDecodable.complete_on_exhausted());
@@ -368,7 +358,6 @@ mod tests {
             decoder: &*dec,
             live_participants: 4,
             now: 0.9,
-            pool: DecodePool::threads(2),
         };
         assert_eq!(WaitDecodable.on_arrival(&view), RoundVerdict::Complete);
         let agg = WaitDecodable.finish(&view).unwrap();
@@ -387,7 +376,6 @@ mod tests {
             decoder: &*dec,
             live_participants: 4,
             now: 0.2,
-            pool: DecodePool::threads(2),
         };
         let policy = FastestK::new(2);
         assert_eq!(policy.on_arrival(&view), RoundVerdict::Complete);
@@ -415,14 +403,12 @@ mod tests {
             decoder: &*dec,
             live_participants: 4,
             now: 0.2,
-            pool: DecodePool::threads(2),
         };
         assert_eq!(policy.on_arrival(&early), RoundVerdict::Continue);
         let late = RoundView {
             decoder: &*dec,
             live_participants: 4,
             now: 0.5,
-            pool: DecodePool::threads(2),
         };
         assert_eq!(policy.on_arrival(&late), RoundVerdict::Complete);
         let agg = policy.finish(&late).unwrap();
@@ -439,7 +425,6 @@ mod tests {
             decoder: &*dec,
             live_participants: 4,
             now: 1.0,
-            pool: DecodePool::threads(2),
         };
         assert_eq!(BestEffortAll.on_arrival(&view), RoundVerdict::Continue);
         assert!(BestEffortAll.complete_on_exhausted());

@@ -23,7 +23,6 @@
 
 use crate::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;
-use crate::decode::DecodePool;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
 use crate::error::ClusterError;
 use crate::latency::{ClusterProfile, CommModel};
@@ -61,7 +60,6 @@ pub struct ThreadedCluster {
     /// Master receive timeout in *real* time before declaring a stall.
     recv_timeout: Duration,
     dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
     minibatch: Option<Minibatch>,
 }
 
@@ -87,15 +85,14 @@ impl ThreadedCluster {
             time_scale,
             recv_timeout: Duration::from_secs(5),
             dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
             minibatch: None,
         }
     }
 
     /// Applies every [`BackendConfig`] knob this backend implements:
-    /// latency model, aggregation policy, observer, decode pool, minibatch
-    /// sampler, and receive timeout. TCP-only knobs (heartbeat/connect
-    /// timeouts, pipelining, job, auth token) are ignored.
+    /// latency model, aggregation policy, observer, minibatch sampler, and
+    /// receive timeout. TCP-only knobs (heartbeat/connect timeouts, job,
+    /// auth token) are ignored.
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         if let Some(model) = config.straggler_model {
@@ -107,74 +104,12 @@ impl ThreadedCluster {
         if let Some(observer) = config.observer {
             self.observer = Some(observer);
         }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
-        }
         if let Some(minibatch) = config.minibatch {
             self.minibatch = Some(minibatch);
         }
         if let Some(timeout) = config.recv_timeout {
             self.recv_timeout = timeout;
         }
-        self
-    }
-
-    /// Installs a per-round unit-subset sampler: each round trains on a
-    /// sampled minibatch instead of the full partition (see
-    /// [`crate::minibatch`]). Worker threads derive each round's selection
-    /// locally from the sampler seed — nothing extra goes over the wire.
-    /// `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget (default:
-    /// all available cores). Bit-identical results at any setting — see
-    /// [`crate::decode`]'s determinism contract.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the
-    /// [zoo](crate::straggler)). The profile keeps supplying the comm model
-    /// and worker count; compute times come from `model`.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion and the
-    /// returned gradient (default:
-    /// [`WaitDecodable`](crate::policy::WaitDecodable)).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round
-    /// [`RoundEvent`](crate::observer::RoundEvent) stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Sets the master's stall-detection timeout (real time).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
         self
     }
 
@@ -329,8 +264,7 @@ impl ThreadedCluster {
                     reports: 0,
                 };
                 let mut engine =
-                    RoundEngine::with_policy(ctx.scheme, participants.len(), &*self.policy)
-                        .with_decode_pool(self.decode_pool);
+                    RoundEngine::with_policy(ctx.scheme, participants.len(), &*self.policy);
                 let result = {
                     let mut null = NullObserver;
                     let mut guard = self

@@ -19,7 +19,6 @@
 
 use crate::backend::{ClusterBackend, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;
-use crate::decode::DecodePool;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
 use crate::error::ClusterError;
 use crate::latency::{ClusterProfile, CommModel};
@@ -45,7 +44,6 @@ pub struct VirtualCluster {
     seed: u64,
     round: u64,
     dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
     minibatch: Option<Minibatch>,
 }
 
@@ -64,15 +62,14 @@ impl VirtualCluster {
             seed,
             round: 0,
             dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
             minibatch: None,
         }
     }
 
     /// Applies every [`BackendConfig`] knob this backend implements:
-    /// latency model, aggregation policy, observer, decode pool, and
-    /// minibatch sampler. Network-only knobs (timeouts, pipelining, job,
-    /// auth token) are ignored — the virtual clock has no real network.
+    /// latency model, aggregation policy, observer and minibatch sampler.
+    /// Network-only knobs (timeouts, job, auth token) are ignored — the
+    /// virtual clock has no real network.
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         if let Some(model) = config.straggler_model {
@@ -84,61 +81,9 @@ impl VirtualCluster {
         if let Some(observer) = config.observer {
             self.observer = Some(observer);
         }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
-        }
         if let Some(minibatch) = config.minibatch {
             self.minibatch = Some(minibatch);
         }
-        self
-    }
-
-    /// Installs a per-round unit-subset sampler: each round trains on a
-    /// sampled minibatch instead of the full partition (see
-    /// [`crate::minibatch`]). `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget (default:
-    /// all available cores). Bit-identical results at any setting — see
-    /// [`crate::decode`]'s determinism contract.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the
-    /// [zoo](crate::straggler)). The profile keeps supplying the comm model
-    /// and worker count; compute times come from `model`.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion and the
-    /// returned gradient (default:
-    /// [`WaitDecodable`](crate::policy::WaitDecodable)).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round
-    /// [`RoundEvent`](crate::observer::RoundEvent) stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -205,8 +150,7 @@ impl VirtualCluster {
             schedule,
             selection.as_ref(),
         );
-        let mut engine = RoundEngine::with_policy(ctx.scheme, participants.len(), &*self.policy)
-            .with_decode_pool(self.decode_pool);
+        let mut engine = RoundEngine::with_policy(ctx.scheme, participants.len(), &*self.policy);
         let mut null = NullObserver;
         let mut guard = self
             .observer

@@ -1,6 +1,6 @@
 //! Aggregation-policy equivalence suite.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! 1. **Legacy equivalence.** The default engine path *is*
 //!    [`WaitDecodable`]: a backend with no policy installed and one with
@@ -15,15 +15,15 @@
 //!    as in `backend_equivalence.rs`), the threaded and virtual backends
 //!    must agree byte-for-byte under *every* builtin policy, not just the
 //!    exact one.
-//! 3. **Parallel-decode equivalence.** The master's parallel
-//!    decode/aggregate fold ([`bcc_cluster::DecodePool`]) must replay the
-//!    serial fold bit-for-bit on every builtin scheme under every builtin
-//!    policy — exact decodes and partial (approximate) readouts alike.
+//! 3. **Seed replay per scheme × policy.** Every builtin scheme under
+//!    every builtin policy replays bit-for-bit from its seed on a fresh
+//!    backend — exact decodes and partial (approximate) readouts alike,
+//!    and failures with the same error.
 
 use bcc_cluster::backend::FixedPointDriver;
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, BestEffortAll, ClusterBackend, ClusterProfile, CommModel,
-    Deadline, DecodePool, EventLog, FastestK, RoundEvent, RoundOutcome, ThreadedCluster, UnitMap,
+    Deadline, EventLog, FastestK, RoundEvent, RoundOutcome, ThreadedCluster, UnitMap,
     VirtualCluster, WaitDecodable, WorkerProfile,
 };
 use bcc_coding::{
@@ -205,11 +205,10 @@ fn assert_backend_agreement(v: &RoundOutcome, t: &RoundOutcome, tag: &str) {
 }
 
 #[test]
-fn parallel_decode_replays_the_serial_fold_on_every_scheme_and_policy() {
+fn every_scheme_and_policy_replays_from_its_seed() {
     // A coarse staircase fixes the arrival order, so every policy's cut
-    // point — and with it the decoded/partially-decoded unit set — is
-    // identical between the two pools; the only degree of freedom left is
-    // the fold itself.
+    // point — and with it the decoded/partially-decoded unit set — is a
+    // function of the seed alone.
     let shifts: Vec<f64> = (0..10).map(|i| 0.04 * (i + 1) as f64).collect();
     let profile = staircase_profile(&shifts);
     let units = UnitMap::grouped(40, 10);
@@ -225,13 +224,10 @@ fn parallel_decode_replays_the_serial_fold_on_every_scheme_and_policy() {
         for (policy_name, policy) in &policies {
             // Some combinations legitimately cannot finish (e.g. a
             // fastest-k cut below cyclic-MDS's solve threshold): then both
-            // pools must fail identically, never just one of them.
-            let run = |pool: DecodePool| {
-                let mut cluster = VirtualCluster::new(profile.clone(), 83).configured(
-                    BackendConfig::new()
-                        .aggregation_policy(Arc::clone(policy))
-                        .decode_pool(pool),
-                );
+            // runs must fail identically, never just one of them.
+            let run = || {
+                let mut cluster = VirtualCluster::new(profile.clone(), 83)
+                    .configured(BackendConfig::new().aggregation_policy(Arc::clone(policy)));
                 let mut driver = FixedPointDriver::new(w.clone());
                 cluster
                     .run_rounds(
@@ -245,24 +241,24 @@ fn parallel_decode_replays_the_serial_fold_on_every_scheme_and_policy() {
                     .map(|()| driver.outcomes)
             };
             let tag = format!("{}/{policy_name}", scheme.name());
-            match (run(DecodePool::serial()), run(DecodePool::threads(8))) {
-                (Ok(serial), Ok(parallel)) => {
-                    assert_eq!(serial.len(), parallel.len(), "{tag}");
-                    for (round, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                        assert_outcomes_identical(s, p, &format!("{tag}/round {round}"));
+            match (run(), run()) {
+                (Ok(first), Ok(replay)) => {
+                    assert_eq!(first.len(), replay.len(), "{tag}");
+                    for (round, (a, b)) in first.iter().zip(&replay).enumerate() {
+                        assert_outcomes_identical(a, b, &format!("{tag}/round {round}"));
                     }
                 }
-                (Err(serial), Err(parallel)) => {
+                (Err(first), Err(replay)) => {
                     assert_eq!(
-                        serial.to_string(),
-                        parallel.to_string(),
-                        "{tag}: pools must fail identically"
+                        first.to_string(),
+                        replay.to_string(),
+                        "{tag}: replays must fail identically"
                     );
                 }
-                (serial, parallel) => panic!(
-                    "{tag}: pools diverged — serial {:?} vs parallel {:?}",
-                    serial.map(|o| o.len()),
-                    parallel.map(|o| o.len())
+                (first, replay) => panic!(
+                    "{tag}: replays diverged — first {:?} vs replay {:?}",
+                    first.map(|o| o.len()),
+                    replay.map(|o| o.len())
                 ),
             }
         }

@@ -11,7 +11,7 @@
 //! than sampling, so a biased estimator cannot hide behind Monte-Carlo
 //! noise.
 
-use bcc_cluster::{AggregationPolicy, DecodePool, FastestK, RoundView};
+use bcc_cluster::{AggregationPolicy, FastestK, RoundView};
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
 use bcc_coding::{GradientCodingScheme, UncodedScheme};
 use proptest::prelude::*;
@@ -28,7 +28,6 @@ fn estimate(scheme: &UncodedScheme, grads: &[Vec<f64>], subset: &[usize], k: usi
         decoder: &*dec,
         live_participants: scheme.num_workers(),
         now: 0.0,
-        pool: DecodePool::default(),
     };
     let agg = FastestK::new(k).finish(&view).expect("partial finish");
     assert_eq!(agg.exact, subset.len() == scheme.num_workers());

@@ -254,7 +254,7 @@ impl Decoder for CrDecoder<'_> {
 
     fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
         // Only meaningful once the decoding coefficients exist; before
-        // completion the serial path must surface `NotComplete`.
+        // completion `decode` must surface `NotComplete`.
         let a = self.coefficients.as_ref()?;
         let terms: Vec<_> = a
             .iter()

@@ -157,8 +157,10 @@ pub trait Decoder {
     }
 
     /// The decoder's current result expressed as a weighted sum
-    /// `Σ cᵢ·vᵢ` over borrowed state vectors, **in the exact term order the
-    /// serial decode folds them** — the hook parallel aggregation uses.
+    /// `Σ cᵢ·vᵢ` over borrowed state vectors, **in the exact term order
+    /// [`Decoder::decode`] folds them** — a borrowed view of the decode,
+    /// for callers that want the terms rather than the folded vector
+    /// (e.g. to fold them elsewhere, or to inspect what backs the sum).
     ///
     /// `Some(terms)` promises that folding the terms left-to-right with
     /// `out[k] = c₀·v₀[k]; out[k] = vᵢ[k].mul_add(cᵢ, out[k])` reproduces
@@ -166,7 +168,8 @@ pub trait Decoder {
     /// [`Decoder::decode_partial`] (otherwise) bit-for-bit. Decoders whose
     /// recovery is not a linear combination of stored vectors in a fixed
     /// order (e.g. linear solves) return `None`, and callers must fall back
-    /// to the serial entry points. The default is `None`.
+    /// to [`Decoder::decode`] / [`Decoder::decode_partial`]. The default is
+    /// `None`.
     fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
         None
     }

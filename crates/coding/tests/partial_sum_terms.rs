@@ -1,8 +1,7 @@
 //! Pins the [`Decoder::partial_sum_terms`] contract: for every builtin
 //! scheme, folding the reported `(coefficient, vector)` terms with the
-//! serial recurrence — and with the work-stealing parallel reduction at
-//! several thread counts — reproduces `decode`/`decode_partial` bit-for-bit
-//! at every arrival prefix.
+//! serial recurrence reproduces `decode`/`decode_partial` bit-for-bit at
+//! every arrival prefix.
 
 use bcc_coding::scheme::test_support::{random_gradients, worker_partials};
 use bcc_coding::{
@@ -10,7 +9,6 @@ use bcc_coding::{
     GeneralizedBccScheme, GradientCodingScheme, RandomSubsetScheme, UncodedScheme,
     UncompressedBccScheme,
 };
-use bcc_linalg::parallel::{par_weighted_sum, Parallelism};
 use bcc_stats::rng::derive_rng;
 
 fn builtin_schemes() -> Vec<Box<dyn GradientCodingScheme>> {
@@ -107,11 +105,6 @@ fn terms_fold_matches_serial_decode_at_every_prefix() {
                 dec.messages_received()
             );
             assert_bits_eq(&label, &expected, &serial_fold(&terms));
-            for threads in [1usize, 2, 8] {
-                let par = par_weighted_sum(Parallelism::threads(threads), &terms)
-                    .expect("non-empty terms");
-                assert_bits_eq(&format!("{label} ({threads} threads)"), &expected, &par);
-            }
         }
     }
 }

@@ -970,6 +970,19 @@ fn validate_mode(spec: &ExperimentSpec, mode: &dyn TrainingMode) -> Result<(), B
                         .into(),
                 });
             }
+            // The local-steps timeline is simulated directly against the
+            // straggler model and never builds a backend: a real backend
+            // would report results no thread or socket produced.
+            if !matches!(spec.backend, BackendSpec::Virtual) {
+                return Err(BuildError::InvalidValue {
+                    field: "backend",
+                    reason: format!(
+                        "mode `{}` simulates its barrier timeline without a round \
+                         protocol and runs only on the virtual backend",
+                        mode.name()
+                    ),
+                });
+            }
             Ok(())
         }
     }

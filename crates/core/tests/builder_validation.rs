@@ -417,3 +417,43 @@ fn default_policy_is_wait_decodable() {
     assert_eq!(experiment.aggregation_policy().name(), "wait-decodable");
     assert!(experiment.spec().policy.is_default());
 }
+
+#[test]
+fn local_sgd_refuses_real_backends() {
+    use bcc_core::experiment::{BackendSpec, ModeSpec, OptimizerSpec};
+    let with_backend = |backend: BackendSpec| {
+        Experiment::builder()
+            .workers(6)
+            .units(6)
+            .scheme(SchemeSpec::named("uncoded"))
+            .data(DataSpec::synthetic(2, 3))
+            .optimizer(OptimizerSpec::nesterov(0.1))
+            .mode(ModeSpec::local_sgd(2))
+            .iterations(4)
+            .seed(1)
+            .backend(backend)
+            .build()
+    };
+    // The local-steps timeline never builds a backend, so only the virtual
+    // one describes what actually runs...
+    assert!(with_backend(BackendSpec::Virtual).is_ok());
+    // ...and a real one is a typed error naming it, not a silent simulation.
+    for backend in [
+        BackendSpec::Threaded { time_scale: 0.1 },
+        BackendSpec::Tcp {
+            time_scale: 0.1,
+            addr: None,
+            wan: None,
+        },
+    ] {
+        let err = with_backend(backend.clone()).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                BuildError::InvalidValue { field: "backend", reason }
+                    if reason.contains("virtual backend")
+            ),
+            "{backend:?}: got {err:?}"
+        );
+    }
+}

@@ -6,18 +6,19 @@
 //!    default mode must be *byte-identical* (weights and message counts)
 //!    to wiring the backend + [`DistributedGd`] by hand the way callers
 //!    did before modes existed — across schemes and aggregation policies.
-//! 2. **Every mode is backend-invariant.** SSP/ASGD re-time rounds through
-//!    offsets sampled master-side from the shared `(seed, round, worker)`
-//!    latency stream, and LocalSGD simulates its barrier directly, so the
-//!    virtual, threaded, and loopback-TCP backends must produce
-//!    byte-identical weights, message counts, and per-round staleness.
+//! 2. **Every round-protocol mode is backend-invariant.** SSP/ASGD re-time
+//!    rounds through offsets sampled master-side from the shared
+//!    `(seed, round, worker)` latency stream, so the virtual, threaded, and
+//!    loopback-TCP backends must produce byte-identical weights, message
+//!    counts, and per-round staleness. LocalSGD simulates its barrier
+//!    without any backend, so a real backend is rejected at build time.
 
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, FastestK, UnitMap, VirtualCluster, WaitDecodable,
 };
 use bcc_core::experiment::LatencySpec;
 use bcc_core::experiment::{
-    BackendSpec, DataSpec, ExperimentBuilder, ModeSpec, OptimizerSpec, PolicySpec,
+    BackendSpec, BuildError, DataSpec, ExperimentBuilder, ModeSpec, OptimizerSpec, PolicySpec,
 };
 use bcc_core::{DistributedGd, Experiment, SchemeConfig, TrainingConfig};
 use bcc_optim::{LearningRate, LogisticLoss, Nesterov};
@@ -153,11 +154,25 @@ fn every_mode_is_backend_invariant() {
             wan: None,
         },
     ];
+    for backend in &backends {
+        let err = builder(SchemeConfig::Bcc { r: 2 }, 43)
+            .mode(ModeSpec::local_sgd(2))
+            .backend(backend.clone())
+            .build()
+            .expect_err("local-sgd never builds a backend, so a real one is refused");
+        assert!(
+            matches!(
+                &err,
+                BuildError::InvalidValue { field, reason }
+                    if *field == "backend" && reason.contains("virtual")
+            ),
+            "local-sgd on {backend:?}: expected a typed backend error, got {err:?}"
+        );
+    }
     for mode in [
         ModeSpec::default(),
         ModeSpec::ssp(3),
         ModeSpec::named("asgd"),
-        ModeSpec::local_sgd(2),
     ] {
         let run = |backend: &BackendSpec| {
             builder(SchemeConfig::Bcc { r: 2 }, 43)

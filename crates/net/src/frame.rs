@@ -24,8 +24,8 @@
 //!
 //! # Hot-path encoding
 //!
-//! The serial seed protocol allocated a fresh `Vec` per frame. The
-//! pipelined master instead encodes into pooled [`bytes::BytesMut`]
+//! Round traffic does not allocate a fresh `Vec` per frame: the master
+//! encodes into pooled [`bytes::BytesMut`]
 //! staging buffers ([`FramePool`]) via [`encode_into`]; a shared Round
 //! body is encoded once and the per-worker compute delay is patched in
 //! place with [`patch_round_delay`] (the delay sits at a fixed offset —

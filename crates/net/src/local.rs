@@ -24,7 +24,6 @@ use crate::stats::NetStats;
 use crate::worker::{connect_with_retry, handshake, serve_rounds, WorkerConfig};
 use bcc_cluster::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use bcc_cluster::config::BackendConfig;
-use bcc_cluster::decode::DecodePool;
 use bcc_cluster::engine::RoundContext;
 use bcc_cluster::latency::ClusterProfile;
 use bcc_cluster::minibatch::Minibatch;
@@ -58,16 +57,12 @@ pub struct LocalNetCluster {
     time_scale: f64,
     recv_timeout: Duration,
     dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
     minibatch: Option<Minibatch>,
     /// Armed faults: worker → round at which it drops its connection.
     fail_at: HashMap<usize, u64>,
     /// Armed rejoins: workers in this set reconnect right after their
     /// `fail_at` death and serve rounds again.
     rejoin: HashSet<usize>,
-    /// Whether the master runs the pipelined fan-out (the default) or the
-    /// serial write-per-peer reference path.
-    pipelined: bool,
     /// Transport counters of the most recent run.
     last_stats: Option<NetStats>,
 }
@@ -94,18 +89,16 @@ impl LocalNetCluster {
             time_scale,
             recv_timeout: Duration::from_secs(5),
             dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
             minibatch: None,
             fail_at: HashMap::new(),
             rejoin: HashSet::new(),
-            pipelined: true,
             last_stats: None,
         }
     }
 
     /// Applies every [`BackendConfig`] knob this backend implements:
-    /// latency model, aggregation policy, observer, decode pool, minibatch
-    /// sampler, receive timeout, and pipelining. Bound-master-only knobs
+    /// latency model, aggregation policy, observer, minibatch sampler, and
+    /// receive timeout. Bound-master-only knobs
     /// (heartbeat/connect timeouts, job, auth token) are ignored — the
     /// loopback fleet handshakes with the seed-derived token and holds the
     /// problem in-process.
@@ -120,75 +113,12 @@ impl LocalNetCluster {
         if let Some(observer) = config.observer {
             self.observer = Some(observer);
         }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
-        }
         if let Some(minibatch) = config.minibatch {
             self.minibatch = Some(minibatch);
         }
         if let Some(timeout) = config.recv_timeout {
             self.recv_timeout = timeout;
         }
-        if let Some(pipelined) = config.pipelining {
-            self.pipelined = pipelined;
-        }
-        self
-    }
-
-    /// Toggles pipelined fan-out on the underlying master.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
-        self
-    }
-
-    /// Installs a per-round unit-subset sampler (see
-    /// [`bcc_cluster::minibatch`]). `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the straggler zoo).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round event stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Sets the master's no-progress timeout (real time).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
         self
     }
 
@@ -245,11 +175,9 @@ impl LocalNetCluster {
     ) -> Result<(), ClusterError> {
         let participants = ctx.participants(&self.dead_workers);
         let mut config = BackendConfig::new()
-            .decode_pool(self.decode_pool)
             .straggler_model(Arc::clone(&self.model))
             .aggregation_policy(Arc::clone(&self.policy))
-            .recv_timeout(self.recv_timeout)
-            .pipelining(self.pipelined);
+            .recv_timeout(self.recv_timeout);
         if let Some(minibatch) = self.minibatch {
             config = config.minibatch(minibatch);
         }

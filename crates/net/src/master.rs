@@ -11,19 +11,16 @@
 //! feed the shared [`RoundEngine`] from a private `NetArrivals` source
 //! until the aggregation policy completes the round.
 //!
-//! **Fan-out** is pipelined by default: every connection also owns a
-//! writer thread fed by a bounded queue of pooled, pre-encoded frames.
-//! The shared Round body is encoded once per round and the per-worker
-//! compute delay patched in, so broadcast is a handful of queue pushes —
-//! a stalled peer fills its own queue (surfacing as
-//! `NetStats::backpressure_events`) instead of head-of-line-blocking the
-//! other workers, and round `t+1`'s fan-out overlaps round `t`'s tail
-//! arrivals, which the broadcast-epoch tag keeps out of the decoder.
-//! [`BackendConfig::pipelining`]`(false)` restores the serial
-//! write-and-flush-per-peer path as a measurement reference; both paths
-//! produce bit-identical training outcomes because everything the
-//! decoder sees is ordered by the simulated delays, not by socket
-//! scheduling.
+//! **Fan-out** is queued: every connection also owns a writer thread fed
+//! by a bounded queue of pooled, pre-encoded frames. The shared Round
+//! body is encoded once per round and the per-worker compute delay
+//! patched in, so broadcast is a handful of queue pushes — a stalled peer
+//! fills its own queue (surfacing as `NetStats::backpressure_events`)
+//! instead of head-of-line-blocking the other workers, and round `t+1`'s
+//! fan-out overlaps round `t`'s tail arrivals, which the broadcast-epoch
+//! tag keeps out of the decoder. Training outcomes stay bit-identical to
+//! the virtual backend because everything the decoder sees is ordered by
+//! the simulated delays, not by socket scheduling.
 //!
 //! **Death detection** has two tiers: a disconnect (EOF/reset seen by the
 //! reader thread) produces an immediate `Down` event, and a worker whose
@@ -42,7 +39,6 @@ use crate::frame::{self, auth_token, FramePool, NetMessage};
 use crate::stats::{CountingReader, NetStats, SharedStats};
 use bcc_cluster::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use bcc_cluster::config::BackendConfig;
-use bcc_cluster::decode::DecodePool;
 use bcc_cluster::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
 use bcc_cluster::latency::{ClusterProfile, CommModel};
 use bcc_cluster::minibatch::Minibatch;
@@ -110,7 +106,7 @@ enum MasterEvent {
     Down { worker: usize, gen: u64 },
 }
 
-/// One registered worker connection: the registry's stream clone (serial
+/// One registered worker connection: the registry's stream clone (cold-path
 /// writes + socket shutdown), the writer thread's frame queue, and the
 /// connection generation.
 struct Conn {
@@ -144,7 +140,6 @@ pub struct TcpCluster {
     /// register.
     connect_timeout: Duration,
     dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
     minibatch: Option<Minibatch>,
     /// Handshake payload for registering workers (a JSON experiment spec;
     /// empty for the loopback harness).
@@ -160,9 +155,6 @@ pub struct TcpCluster {
     readers: Vec<JoinHandle<()>>,
     stats: SharedStats,
     pool: FramePool,
-    /// Writer-thread fan-out + speculative next-round broadcast (the
-    /// default); `false` restores the serial write-per-peer seed path.
-    pipelined: bool,
     /// Monotonic connection-generation counter (see [`MasterEvent::Down`]).
     conn_gen: u64,
     /// Monotonic broadcast-epoch counter; bumped once per fan-out,
@@ -228,7 +220,6 @@ impl TcpCluster {
             heartbeat_timeout: Duration::from_secs(2),
             connect_timeout: Duration::from_secs(30),
             dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
             minibatch: None,
             job: String::new(),
             local_addr,
@@ -242,7 +233,6 @@ impl TcpCluster {
             readers: Vec::new(),
             stats,
             pool: FramePool::new(),
-            pipelined: true,
             conn_gen: 0,
             epoch_counter: 0,
             expected_token,
@@ -263,9 +253,9 @@ impl TcpCluster {
     }
 
     /// Applies every [`BackendConfig`] knob — the TCP master implements
-    /// the full set (latency model, aggregation policy, observer, decode
-    /// pool, minibatch, receive/heartbeat/connect timeouts, pipelining,
-    /// job string, auth token).
+    /// the full set (latency model, aggregation policy, observer,
+    /// minibatch, receive/heartbeat/connect timeouts, job string, auth
+    /// token).
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         if let Some(model) = config.straggler_model {
@@ -276,9 +266,6 @@ impl TcpCluster {
         }
         if let Some(observer) = config.observer {
             self.observer = Some(observer);
-        }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
         }
         if let Some(minibatch) = config.minibatch {
             self.minibatch = Some(minibatch);
@@ -292,112 +279,12 @@ impl TcpCluster {
         if let Some(timeout) = config.connect_timeout {
             self.connect_timeout = timeout;
         }
-        if let Some(pipelined) = config.pipelining {
-            self.pipelined = pipelined;
-        }
         if let Some(job) = config.job {
             self.job = job;
         }
         if let Some(token) = config.auth_token {
             self.expected_token.store(token, Ordering::Relaxed);
         }
-        self
-    }
-
-    /// Sets the job string shipped to each registering worker (a JSON
-    /// experiment spec for `bcc-worker` processes; leave empty for
-    /// loopback workers that already hold the problem).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_job(mut self, job: String) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Installs a per-round unit-subset sampler (see
-    /// [`bcc_cluster::minibatch`]). `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the straggler zoo).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round event stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Toggles pipelined fan-out (writer threads + queued broadcast).
-    /// `false` restores the serial write-and-flush-per-peer path — the
-    /// measurement baseline for `repro net`'s speedup column.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
-        self
-    }
-
-    /// Overrides the auth token workers must echo in `Hello` (defaults to
-    /// [`auth_token`] of the bind seed; the experiment layer sets it to
-    /// the token of the *job* seed so master and `bcc-worker` processes
-    /// derive it independently).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_auth_token(self, token: u64) -> Self {
-        self.expected_token.store(token, Ordering::Relaxed);
-        self
-    }
-
-    /// Sets the no-progress timeout (real time) before a round exhausts.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-
-    /// Sets the silence threshold (real time) for declaring a worker dead.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Sets how long the master waits for missing participants to
-    /// register before failing the run.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
         self
     }
 
@@ -594,26 +481,6 @@ impl TcpCluster {
         }
     }
 
-    /// Ships an already-encoded frame to `worker`: queued on its writer
-    /// thread in pipelined mode, written synchronously (write + flush,
-    /// the seed path) otherwise. The buffer returns to the pool either
-    /// way.
-    fn ship_frame(&self, worker: usize, buf: BytesMut, block: bool) -> bool {
-        if self.pipelined {
-            return self.enqueue_frame(worker, buf, block);
-        }
-        let ok = self.conns.get(&worker).is_some_and(|conn| {
-            let mut sink = &conn.stream;
-            frame::write_frame_bytes(&mut sink, buf.as_ref()).is_ok()
-        });
-        if ok {
-            self.stats.record_send(buf.len());
-            self.stats.record_flush();
-        }
-        self.pool.put(buf);
-        ok
-    }
-
     /// Drives `rounds` rounds over the registered workers — the networked
     /// analogue of the threaded backend's worker-pool loop. `attempted`
     /// counts rounds started so the caller can advance its round counter
@@ -632,7 +499,6 @@ impl TcpCluster {
         let policy = Arc::clone(&self.policy);
         let model = Arc::clone(&self.model);
         let observer_handle = self.observer.clone();
-        let decode_pool = self.decode_pool;
         let comm = self.profile.comm;
         for index in 0..rounds {
             let round = first_round + index as u64;
@@ -674,7 +540,7 @@ impl TcpCluster {
                 buf.clear();
                 buf.extend_from_slice(template.as_ref());
                 frame::patch_round_delay(buf.as_mut(), delays[&worker]);
-                if self.ship_frame(worker, buf, true) {
+                if self.enqueue_frame(worker, buf, true) {
                     live_sent.push(worker);
                     epoch_of.insert(worker, epoch);
                 } else {
@@ -707,8 +573,7 @@ impl TcpCluster {
                 last_progress: now,
                 master: self,
             };
-            let mut engine = RoundEngine::with_policy(ctx.scheme, live_sent.len(), &*policy)
-                .with_decode_pool(decode_pool);
+            let mut engine = RoundEngine::with_policy(ctx.scheme, live_sent.len(), &*policy);
             let result = {
                 let mut null = NullObserver;
                 let mut guard = observer_handle
@@ -724,9 +589,9 @@ impl TcpCluster {
             let deaths = std::mem::take(&mut source.deaths);
             drop(source);
             // Wake sleeping stragglers of this round promptly, dead or
-            // not (sends to dead sockets are ignored). In pipelined mode
-            // this is a queue push and round t+1's fan-out follows while
-            // t's tail arrivals are still draining.
+            // not (sends to dead sockets are ignored). This is a queue
+            // push, so round t+1's fan-out follows while t's tail arrivals
+            // are still draining.
             for &worker in self.conns.keys() {
                 let mut buf = self.pool.take();
                 frame::encode_into(
@@ -735,7 +600,7 @@ impl TcpCluster {
                     },
                     &mut buf,
                 );
-                let _ = self.ship_frame(worker, buf, false);
+                let _ = self.enqueue_frame(worker, buf, false);
             }
             self.dead_workers.extend(deaths);
             result?;
@@ -769,7 +634,6 @@ impl std::fmt::Debug for TcpCluster {
             .field("seed", &self.seed)
             .field("round", &self.round)
             .field("time_scale", &self.time_scale)
-            .field("pipelined", &self.pipelined)
             .finish_non_exhaustive()
     }
 }
@@ -1016,7 +880,7 @@ impl NetArrivals<'_> {
         let epoch = self.master.next_epoch();
         let mut buf = self.master.pool.take();
         frame::encode_round_into(&mut buf, self.round, epoch, delay, self.weights);
-        if !self.master.ship_frame(worker, buf, true) {
+        if !self.master.enqueue_frame(worker, buf, true) {
             return None;
         }
         let now = Instant::now();

@@ -1,8 +1,7 @@
 //! The pipelined fan-out must be a pure latency optimisation: for every
-//! builtin scheme × aggregation policy cell, a pipelined loopback TCP run
-//! (writer threads, pooled frames, speculative next-round broadcast) must
-//! land on *bit-identical* outcomes to the serial write-per-peer reference
-//! path — and both must match the virtual simulation. Only wall-clock
+//! builtin scheme × aggregation policy cell, a loopback TCP run (writer
+//! threads, pooled frames, speculative next-round broadcast) must land on
+//! *bit-identical* outcomes to the virtual simulation. Only wall-clock
 //! fields may differ; decoded gradients, message counts, communication
 //! load, and compute-time accounting are compared bit for bit.
 //!
@@ -111,9 +110,7 @@ fn assert_outcomes_match(reference: &RoundOutcome, got: &RoundOutcome, tag: &str
 
 type RunResult = Result<Vec<RoundOutcome>, String>;
 
-#[allow(clippy::too_many_arguments)]
 fn run_net(
-    pipelined: bool,
     scheme: &dyn GradientCodingScheme,
     policy: &Arc<dyn AggregationPolicy>,
     profile: &ClusterProfile,
@@ -122,11 +119,8 @@ fn run_net(
     rounds: usize,
     seed: u64,
 ) -> (RunResult, Option<bcc_net::NetStats>) {
-    let mut cluster = LocalNetCluster::new(profile.clone(), seed, 0.5).configured(
-        BackendConfig::new()
-            .pipelining(pipelined)
-            .aggregation_policy(Arc::clone(policy)),
-    );
+    let mut cluster = LocalNetCluster::new(profile.clone(), seed, 0.5)
+        .configured(BackendConfig::new().aggregation_policy(Arc::clone(policy)));
     let mut driver = FixedPointDriver::new(vec![0.05; 4]);
     let result = cluster
         .run_rounds(rounds, scheme, units, data, &LogisticLoss, &mut driver)
@@ -136,7 +130,7 @@ fn run_net(
 }
 
 #[test]
-fn pipelined_fanout_matches_serial_across_schemes_and_policies() {
+fn pipelined_fanout_matches_virtual_across_schemes_and_policies() {
     // 10 workers finishing in the scrambled order 7ᵢ mod 10.
     let shifts: Vec<f64> = (0..10)
         .map(|i| 0.01 * (((i * 7) % 10) + 1) as f64)
@@ -165,18 +159,7 @@ fn pipelined_fanout_matches_serial_across_schemes_and_policies() {
                 .map(|()| virtual_driver.outcomes)
                 .map_err(|e| e.to_string());
 
-            let (serial_result, _) = run_net(
-                false,
-                scheme.as_ref(),
-                &policy,
-                &profile,
-                &units,
-                &data.dataset,
-                rounds,
-                seed,
-            );
-            let (pipelined_result, stats) = run_net(
-                true,
+            let (net_result, stats) = run_net(
                 scheme.as_ref(),
                 &policy,
                 &profile,
@@ -187,45 +170,34 @@ fn pipelined_fanout_matches_serial_across_schemes_and_policies() {
             );
 
             // Some cells legitimately cannot decode (fastest-8 is below
-            // uncoded's n-of-n threshold): then all three paths must fail
-            // with the *same* error, never just some of them.
-            match (virtual_result, serial_result, pipelined_result) {
-                (Ok(virt), Ok(serial), Ok(pipelined)) => {
-                    assert_eq!(serial.len(), rounds, "{tag}: serial round count");
-                    assert_eq!(pipelined.len(), rounds, "{tag}: pipelined round count");
-                    for (r, ((v, s), p)) in virt.iter().zip(&serial).zip(&pipelined).enumerate() {
-                        assert_outcomes_match(v, s, &format!("{tag} round {r} serial-vs-virtual"));
-                        assert_outcomes_match(
-                            s,
-                            p,
-                            &format!("{tag} round {r} pipelined-vs-serial"),
-                        );
+            // uncoded's n-of-n threshold): then both backends must fail
+            // with the *same* error, never just one of them.
+            match (virtual_result, net_result) {
+                (Ok(virt), Ok(net)) => {
+                    assert_eq!(net.len(), rounds, "{tag}: TCP round count");
+                    for (r, (v, n)) in virt.iter().zip(&net).enumerate() {
+                        assert_outcomes_match(v, n, &format!("{tag} round {r} TCP-vs-virtual"));
                     }
                 }
-                (Err(virt), Err(serial), Err(pipelined)) => {
-                    assert_eq!(virt, serial, "{tag}: serial must fail like the simulation");
-                    assert_eq!(
-                        serial, pipelined,
-                        "{tag}: pipelining must not change the error"
-                    );
+                (Err(virt), Err(net)) => {
+                    assert_eq!(virt, net, "{tag}: TCP must fail like the simulation");
                 }
-                (virt, serial, pipelined) => panic!(
-                    "{tag}: paths disagree on success: virtual {:?}, serial {:?}, pipelined {:?}",
+                (virt, net) => panic!(
+                    "{tag}: backends disagree on success: virtual {:?}, TCP {:?}",
                     virt.is_ok(),
-                    serial.is_ok(),
-                    pipelined.is_ok()
+                    net.is_ok()
                 ),
             }
-            // The pipelined path really ran the writer-thread fan-out:
-            // every broadcast drains through per-worker queues and flushes.
-            let stats = stats.expect("stats after a pipelined run");
+            // The run really went through the writer-thread fan-out: every
+            // broadcast drains through per-worker queues and flushes.
+            let stats = stats.expect("stats after a TCP run");
             assert!(
                 stats.flushes > 0,
-                "{tag}: pipelined run recorded no writer flushes"
+                "{tag}: TCP run recorded no writer flushes"
             );
             assert!(
                 stats.max_queue_depth >= 1,
-                "{tag}: pipelined run recorded no queue occupancy"
+                "{tag}: TCP run recorded no queue occupancy"
             );
         }
     }
