@@ -30,6 +30,7 @@
 
 pub mod backend;
 pub mod config;
+pub mod delay;
 pub mod engine;
 pub mod error;
 pub mod latency;

@@ -8,10 +8,10 @@
 //! scaled seconds) and stops as soon as the scheme's decoder completes.
 //! Straggling is emulated by sampling the installed
 //! [`StragglerModel`] (by default the
-//! paper's shift-exponential) and sleeping that long (compressed by
-//! `time_scale`), so the *relative* timing behaviour — order statistics of
-//! arrivals, serialized receipt — matches the EC2 experiments at a
-//! laptop-friendly wall clock.
+//! paper's shift-exponential) and waiting that long (compressed by
+//! `time_scale`, with [`emulate_delay`]), so the *relative* timing
+//! behaviour — order statistics of arrivals, serialized receipt — matches
+//! the EC2 experiments at a laptop-friendly wall clock.
 //!
 //! All protocol logic lives in the shared [`RoundEngine`]; this file only
 //! produces arrivals: worker threads push wire-encoded envelopes into a
@@ -23,6 +23,7 @@
 
 use crate::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;
+use crate::delay::emulate_delay;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
 use crate::error::ClusterError;
 use crate::latency::{ClusterProfile, CommModel};
@@ -42,9 +43,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Granularity of cancellable sleeps.
-const SLEEP_SLICE: Duration = Duration::from_millis(2);
-
 /// Threaded master/worker backend.
 #[derive(Debug)]
 pub struct ThreadedCluster {
@@ -54,7 +52,7 @@ pub struct ThreadedCluster {
     observer: Option<SharedObserver>,
     seed: u64,
     round: u64,
-    /// Real seconds slept per simulated second (e.g. `0.01` compresses a
+    /// Real seconds waited per simulated second (e.g. `0.01` compresses a
     /// 1 s simulated straggler to 10 ms of wall time).
     time_scale: f64,
     /// Master receive timeout in *real* time before declaring a stall.
@@ -202,7 +200,7 @@ impl ThreadedCluster {
                         // straggler whose round the master already finished
                         // wakes within a sleep slice and never starts
                         // computing, so its next round is not delayed.
-                        cancellable_sleep(Duration::from_secs_f64(delay * time_scale), || {
+                        emulate_delay(Duration::from_secs_f64(delay * time_scale), || {
                             finished_before.load(Ordering::Relaxed) > round
                         });
                         if finished_before.load(Ordering::Relaxed) > round {
@@ -302,18 +300,6 @@ impl ThreadedCluster {
     }
 }
 
-/// Sleeps `duration`, waking early when `cancelled` reports true — lets
-/// straggler threads abandon a round as soon as the master completed it.
-fn cancellable_sleep(duration: Duration, cancelled: impl Fn() -> bool) {
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        if cancelled() {
-            return;
-        }
-        std::thread::sleep(SLEEP_SLICE.min(deadline.saturating_duration_since(Instant::now())));
-    }
-}
-
 /// One message from a pool worker to the master.
 enum PoolMessage {
     /// A wire-encoded [`crate::message::Envelope`] (the data path stays
@@ -360,8 +346,9 @@ impl ArrivalSource for ThreadedArrivals<'_> {
                     self.reports += 1;
                     // Serialized receive port: the transfer occupies the
                     // master for the scaled transfer duration.
-                    let transfer = self.comm.transfer_time(envelope.payload.units());
-                    std::thread::sleep(Duration::from_secs_f64(transfer * self.time_scale));
+                    let transfer =
+                        self.comm.transfer_time(envelope.payload.units()) * self.time_scale;
+                    emulate_delay(Duration::from_secs_f64(transfer), || false);
                     return Ok(ArrivalEvent::Delivered(Arrival {
                         worker: envelope.worker,
                         payload: envelope.payload,

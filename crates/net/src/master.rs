@@ -39,6 +39,7 @@ use crate::frame::{self, auth_token, FramePool, NetMessage};
 use crate::stats::{CountingReader, NetStats, SharedStats};
 use bcc_cluster::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use bcc_cluster::config::BackendConfig;
+use bcc_cluster::delay::emulate_delay;
 use bcc_cluster::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
 use bcc_cluster::latency::{ClusterProfile, CommModel};
 use bcc_cluster::minibatch::Minibatch;
@@ -56,15 +57,20 @@ use crossbeam_channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::ErrorKind;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Accept-loop poll cadence and the arrival loop's channel poll slice.
+/// The arrival loop's channel poll slice.
 const POLL_SLICE: Duration = Duration::from_millis(10);
+
+/// How long the acceptor backs off after a failed `accept`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// How long [`TcpCluster::shutdown`]'s wake-up connect may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long the acceptor waits for a freshly connected socket to speak
 /// its `Hello` before dropping it.
@@ -144,7 +150,7 @@ pub struct TcpCluster {
     /// Handshake payload for registering workers (a JSON experiment spec;
     /// empty for the loopback harness).
     job: String,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     conns: BTreeMap<usize, Conn>,
     ever_registered: HashSet<usize>,
     reg_rx: Receiver<Registration>,
@@ -191,9 +197,6 @@ impl TcpCluster {
         let local_addr = listener
             .local_addr()
             .map_err(|e| ClusterError::Net(format!("local_addr failed: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ClusterError::Net(format!("set_nonblocking failed: {e}")))?;
         let (reg_tx, reg_rx) = unbounded::<Registration>();
         let (events_tx, events_rx) = unbounded::<MasterEvent>();
         let stop = Arc::new(AtomicBool::new(false));
@@ -242,7 +245,7 @@ impl TcpCluster {
 
     /// The bound listener address (resolves `:0` to the actual port).
     #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -309,6 +312,10 @@ impl TcpCluster {
         }
         self.shut_down = true;
         self.stop.store(true, Ordering::Relaxed);
+        // The acceptor blocks in `accept`: one connect of our own wakes it
+        // to see `stop`. Should that connect fail, the acceptor is left
+        // detached rather than joined forever.
+        let woken = TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT).is_ok();
         for (_, conn) in std::mem::take(&mut self.conns) {
             let Conn {
                 stream, tx, writer, ..
@@ -321,7 +328,9 @@ impl TcpCluster {
             let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
+            if woken {
+                let _ = handle.join();
+            }
         }
         for handle in self.readers.drain(..) {
             let _ = handle.join();
@@ -653,7 +662,19 @@ fn send_frame(
     Ok(())
 }
 
-/// Acceptor thread: polls the nonblocking listener, completes the `Hello`
+/// Where [`TcpCluster::shutdown`] connects to wake the acceptor: the
+/// listening address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+/// loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Acceptor thread: blocks on the listener, completes the `Hello`
 /// half of the handshake, and forwards registrations. A wrong auth token
 /// or an out-of-range worker id is answered with a `Reject` frame (typed
 /// on the worker side as [`ClusterError::AuthRejected`]) — never a silent
@@ -668,14 +689,14 @@ fn spawn_acceptor(
     stats: SharedStats,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            // Shutdown wakes the blocked `accept` with a connect of its own.
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
+            match accepted {
                 Ok((mut stream, _)) => {
-                    // Accepted sockets may inherit the listener's
-                    // nonblocking flag on some platforms; force blocking.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
                     let _ = stream.set_nodelay(true);
                     if stream.set_read_timeout(Some(HELLO_TIMEOUT)).is_err() {
                         continue;
@@ -708,10 +729,10 @@ fn spawn_acceptor(
                         return;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_SLICE);
-                }
-                Err(_) => std::thread::sleep(POLL_SLICE),
+                // Transient accept failures (e.g. a connection reset before
+                // it was accepted, or descriptor exhaustion): back off
+                // briefly instead of spinning.
+                Err(_) => std::thread::sleep(ACCEPT_RETRY),
             }
         }
     })
@@ -935,8 +956,8 @@ impl NetArrivals<'_> {
         let (worker, payload, compute_seconds) = self.pending.remove(&key)?;
         // Serialized receive port, same as the other backends: the
         // transfer occupies the master.
-        let transfer = self.comm.transfer_time(payload.units());
-        std::thread::sleep(Duration::from_secs_f64(transfer * self.time_scale));
+        let transfer = self.comm.transfer_time(payload.units()) * self.time_scale;
+        emulate_delay(Duration::from_secs_f64(transfer), || false);
         Some(Arrival {
             worker,
             payload,

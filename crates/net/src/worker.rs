@@ -8,14 +8,15 @@
 //!    master can distinguish "slow" from "gone", and
 //! 3. the **round loop** ([`serve_rounds`]): for each `Round` frame it
 //!    derives the minibatch selection locally, emulates the sampled
-//!    compute delay with a cancellable sleep, computes and encodes the
-//!    coded partial gradient, and ships the wire envelope back as a
-//!    `Data` frame.
+//!    compute delay with [`emulate_delay`] (cancelled once the master
+//!    settles the round), computes and encodes the coded partial
+//!    gradient, and ships the wire envelope back as a `Data` frame.
 //!
 //! The same loop serves both deployments: the `bcc-worker` binary (one OS
 //! process per worker) and [`crate::LocalNetCluster`]'s loopback threads.
 
 use crate::frame::{self, NetMessage};
+use bcc_cluster::delay::emulate_delay;
 use bcc_cluster::engine::RoundContext;
 use bcc_cluster::{wire, ClusterError, Envelope};
 use bcc_optim::GradScratch;
@@ -26,8 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Granularity of cancellable sleeps and heartbeat stop checks.
-const SLEEP_SLICE: Duration = Duration::from_millis(2);
+/// Granularity of the heartbeat thread's stop checks.
+const HEARTBEAT_TICK: Duration = Duration::from_millis(2);
 
 /// Cap on the heartbeat back-off multiplier a `Backpressure` advisory can
 /// drive (each advisory doubles the interval up to this; the next `Round`
@@ -39,7 +40,12 @@ const MAX_HEARTBEAT_BACKOFF: u64 = 8;
 pub struct WorkerConfig {
     /// This worker's id (the registry key announced in `Hello`).
     pub worker: usize,
-    /// Real seconds slept per simulated second of the shipped delay.
+    /// Real seconds waited per simulated second of the shipped delay.
+    ///
+    /// The wait is [`emulate_delay`]: kernel sleeps down to the timer
+    /// slack, then `yield_now` until the deadline. A kernel sleep may wake
+    /// up to the thread's timer slack late (50 µs by default on Linux),
+    /// which at small scales would dwarf µs-sized delays.
     pub time_scale: f64,
     /// Cadence of `Heartbeat` frames.
     pub heartbeat_interval: Duration,
@@ -283,14 +289,21 @@ fn spawn_heartbeat(
     backoff: Arc<AtomicU64>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            let factor = backoff
-                .load(Ordering::Relaxed)
-                .clamp(1, MAX_HEARTBEAT_BACKOFF);
-            cancellable_sleep(interval * factor as u32, || stop.load(Ordering::Relaxed));
+        let mut last_beat = Instant::now();
+        loop {
+            // Plain kernel sleeps: the cadence needs no precision, only a
+            // prompt stop.
+            std::thread::sleep(HEARTBEAT_TICK);
             if stop.load(Ordering::Relaxed) {
                 return;
             }
+            let factor = backoff
+                .load(Ordering::Relaxed)
+                .clamp(1, MAX_HEARTBEAT_BACKOFF);
+            if last_beat.elapsed() < interval * factor as u32 {
+                continue;
+            }
+            last_beat = Instant::now();
             let mut w = writer.lock().expect("worker writer lock poisoned");
             if frame::write_message(&mut *w, &NetMessage::Heartbeat { worker }).is_err() {
                 return;
@@ -331,7 +344,7 @@ fn round_loop(
         // Minibatch rounds derive the unit selection locally from the
         // round id — nothing extra on the wire.
         let selection = ctx.selection_for(round);
-        cancellable_sleep(
+        emulate_delay(
             Duration::from_secs_f64(delay_seconds * cfg.time_scale),
             || finished_before.load(Ordering::Relaxed) > round,
         );
@@ -370,17 +383,6 @@ fn round_loop(
         frame::write_frame_bytes(&mut *w, frame_buf.as_ref())?;
     }
     Ok(())
-}
-
-/// Sleeps `duration`, waking early when `cancelled` reports true.
-fn cancellable_sleep(duration: Duration, cancelled: impl Fn() -> bool) {
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        if cancelled() {
-            return;
-        }
-        std::thread::sleep(SLEEP_SLICE.min(deadline.saturating_duration_since(Instant::now())));
-    }
 }
 
 #[cfg(test)]
